@@ -16,7 +16,12 @@ from repro.columns.block import (
     DescriptorBlock,
     OutcomeBlock,
 )
-from repro.columns.hashing import H3ColumnHasher, crc32_column, crc32_partition
+from repro.columns.hashing import (
+    H3ColumnHasher,
+    TabulationColumnHasher,
+    crc32_column,
+    crc32_partition,
+)
 
 __all__ = [
     "HAVE_NUMPY",
@@ -27,6 +32,7 @@ __all__ = [
     "DescriptorBlock",
     "OutcomeBlock",
     "H3ColumnHasher",
+    "TabulationColumnHasher",
     "crc32_column",
     "crc32_partition",
 ]

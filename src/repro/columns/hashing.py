@@ -9,10 +9,15 @@ The per-object hot path hashes one key at a time; this module hashes a whole
 * :class:`H3ColumnHasher` folds an H3 matrix into per-byte-position gather
   tables (``T[p][b]`` = XOR of the rows selected by byte value ``b`` at byte
   position ``p``), so a column hash is ``width`` table gathers XOR-reduced.
+* :class:`TabulationColumnHasher` hashes a column of integers through a
+  tabulation hash's tables, one gather per byte position.
 
-Both reproduce the scalar functions (:data:`repro.hashing.crc.CRC32`,
-:class:`repro.hashing.h3.H3Hash`) bit-for-bit — the property tests in
-``tests/test_columns.py`` hold them to that across seeds and geometries.
+All reproduce the scalar functions (:data:`repro.hashing.crc.CRC32`,
+:class:`repro.hashing.h3.H3Hash`,
+:class:`repro.hashing.tabulation.TabulationHash`) bit-for-bit — the
+property tests in ``tests/test_columns.py`` and
+``tests/test_telemetry_eviction.py`` hold them to that across seeds and
+geometries.
 Without numpy (see :mod:`repro.columns.backend`) every function falls back
 to a stdlib per-key loop with identical results.
 """
@@ -71,8 +76,8 @@ class H3ColumnHasher:
     The scalar :class:`~repro.hashing.h3.H3Hash` XORs one matrix row per set
     key *bit*; grouping rows eight at a time gives a 256-entry table per key
     *byte*, so hashing becomes ``width`` gathers regardless of how many bits
-    are set.  Building the tables costs ``width x 8 x 256`` XORs once per
-    hash function — amortised over every block the table serves.
+    are set.  Building the tables costs ``width x 256`` XORs once per hash
+    function — amortised over every block the table serves.
 
     Parameters
     ----------
@@ -93,15 +98,17 @@ class H3ColumnHasher:
         tables: List[List[int]] = []
         # Byte position p counts from the LSB end of the big-endian key, so
         # byte p of the key integer is key_bytes[width - 1 - p] and covers
-        # matrix rows 8p .. 8p+7.
+        # matrix rows 8p .. 8p+7.  Each entry is built from two smaller
+        # ones — the byte without its lowest set bit, and that bit alone —
+        # so a table costs 256 XORs rather than 8 x 256.
         for position in range(width):
             table = [0] * 256
             for bit in range(8):
-                row = rows[8 * position + bit]
-                bit_mask = 1 << bit
-                for byte in range(256):
-                    if byte & bit_mask:
-                        table[byte] ^= row
+                table[1 << bit] = rows[8 * position + bit]
+            for byte in range(3, 256):
+                rest = byte & (byte - 1)
+                if rest:
+                    table[byte] = table[rest] ^ table[byte & -byte]
             tables.append(table)
         self._tables = tables
         self._np_tables = None
@@ -126,15 +133,63 @@ class H3ColumnHasher:
             for position in range(width):
                 out ^= tables[position][arr[:, width - 1 - position]]
             return out
-        view = memoryview(key_data)
-        tables = self._tables
+        data = bytes(key_data)
+        # Key byte i (big-endian) is byte position width - 1 - i.
+        tables = self._tables[::-1]
         out_list: List[int] = []
-        for index in range(count):
-            key = view[index * width : (index + 1) * width]
+        for start in range(0, count * width, width):
             value = 0
-            for position in range(width):
-                value ^= tables[position][key[width - 1 - position]]
+            for table, byte in zip(tables, data[start : start + width]):
+                value ^= table[byte]
             out_list.append(value)
+        return out_list
+
+    def bucket_column(self, key_data: ByteColumn, count: int, buckets: int) -> List[int]:
+        """``h3.hash(key) % buckets`` for every key of a packed column, as a list."""
+        hashes = self.hash_column(key_data, count)
+        np = backend.np
+        if np is not None and self.output_bits <= 64:
+            return (hashes % np.uint64(buckets)).tolist()
+        return [value % buckets for value in hashes]
+
+
+class TabulationColumnHasher:
+    """A :class:`~repro.hashing.tabulation.TabulationHash` over integer columns.
+
+    Takes the hash's per-byte-position tables (position 0 is the most
+    significant byte of the big-endian key) and hashes a whole column of
+    non-negative integers at once: one gather per byte position on the
+    numpy backend, a per-value loop otherwise.  Only the low
+    ``len(tables)`` bytes of each value are hashed.
+    """
+
+    def __init__(self, tables: Sequence[Sequence[int]]) -> None:
+        if not tables:
+            raise ValueError("tables must cover at least one byte position")
+        self._tables = tables
+        self._np_tables = None
+
+    def bucket_column(self, values: Sequence[int], buckets: int) -> List[int]:
+        """``hash(value) % buckets`` for every value, as a list."""
+        tables = self._tables
+        key_bytes = len(tables)
+        np = backend.np
+        if np is not None and len(values):
+            if self._np_tables is None:
+                self._np_tables = [np.array(table, dtype=np.uint64) for table in tables]
+            column = np.asarray(values, dtype=np.uint64)
+            out = np.zeros(len(column), dtype=np.uint64)
+            for position, table in enumerate(self._np_tables):
+                shift = np.uint64(8 * (key_bytes - 1 - position))
+                out ^= table[(column >> shift) & np.uint64(0xFF)]
+            return (out % np.uint64(buckets)).tolist()
+        mask = (1 << (8 * key_bytes)) - 1
+        out_list: List[int] = []
+        for value in values:
+            result = 0
+            for table, byte in zip(tables, (value & mask).to_bytes(key_bytes, "big")):
+                result ^= table[byte]
+            out_list.append(result % buckets)
         return out_list
 
 

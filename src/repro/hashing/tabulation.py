@@ -66,6 +66,12 @@ class TabulationHash:
             self._tables = _build_tables(key_bytes, output_bits, seed)
         self._mask = (1 << output_bits) - 1
 
+    @property
+    def tables(self) -> list:
+        """The per-byte-position tables (position 0 is the most significant
+        key byte); shared, so callers must not mutate them."""
+        return self._tables
+
     def _normalise(self, key: KeyLike) -> bytes:
         if isinstance(key, int):
             if key < 0:

@@ -188,8 +188,13 @@ class SpaceSavingTracker:
             if len(other._counts) >= other.capacity
             else 0
         )
+        # The union walks self's keys, then other's new ones, each in dict
+        # order: equal counts keep this order through the trim below, and a
+        # set union would order them by hash (PYTHONHASHSEED-dependent).
+        keys = list(self._counts)
+        keys.extend(key for key in other._counts if key not in self._counts)
         merged: Dict[Hashable, Tuple[int, int]] = {}
-        for key in self._counts.keys() | other._counts.keys():
+        for key in keys:
             count_self = self._counts.get(key)
             count_other = other._counts.get(key)
             count = (count_self if count_self is not None else floor_self) + (

@@ -215,47 +215,51 @@ class TelemetryPipeline:
         return count
 
     def _observe_block(self, outcomes: OutcomeBlock) -> int:
-        """Columnar twin of :meth:`_observe`, row by row over block columns.
+        """Columnar twin of :meth:`_observe`: each hash function runs once
+        over a whole block column.
 
-        The update sequence per row is identical to the object path —
-        packet sketch, then (for non-empty packets) byte sketch and heavy
-        hitters, then the two spreader detectors, then SYN accounting — so
-        a columnar run leaves every sketch in the same state the outcome
-        loop would.
+        The two Count-Min sketches hash the packed key column (in
+        ``FlowKey.pack()`` order) once per sketch row; the spreader and
+        port-scan detectors hash their destination columns (``dst_ip``, and
+        ``dst_ip << 16 | dst_port``) once each.  Only the updates whose
+        result depends on arrival order stay per row, consuming those
+        precomputed hashes in row order: Space-Saving, and each detector's
+        source admission, eviction and bit-setting.  The structures are
+        independent of one another, so updating them one after the other
+        leaves every sketch exactly as :meth:`_observe` row by row would —
+        including which heavy hitter or source gets evicted.
         """
         block = outcomes.block
         count = len(block)
+        if not count:
+            return 0
         packed = block.packed_keys()
+        key_column = b"".join(packed)
         lengths = block.lengths.tolist()
-        flags = block.flags.tolist()
+        self.packets += count
+        self.bytes += sum(lengths)
+        self.packet_counts.update_block(key_column, count)
+        # Zero-length descriptors add nothing to the byte sketch and are
+        # kept out of Space-Saving, as in _observe.
+        self.byte_counts.update_block(key_column, count, lengths)
+        heavy_update = self.heavy_hitters.update
+        for key_bytes, length in zip(packed, lengths):
+            if length > 0:
+                heavy_update(key_bytes, length)
         src_ips = block.src_ips()
         dst_ips = block.dst_ips()
-        dst_ports = block.dst_ports()
-        protocols = block.protocols()
+        self.spreaders.update_column(src_ips, dst_ips)
+        self.port_scanners.update_column(
+            src_ips,
+            [(dst_ip << 16) | dst_port for dst_ip, dst_port in zip(dst_ips, block.dst_ports())],
+        )
         syn_flag = TCP_FLAGS["SYN"]
         ack_flag = TCP_FLAGS["ACK"]
-        packet_counts = self.packet_counts
-        byte_counts = self.byte_counts
-        heavy_hitters = self.heavy_hitters
-        spreaders = self.spreaders
-        port_scanners = self.port_scanners
-        self.packets += count
-        total_bytes = 0
-        syn_packets = 0
-        for i in range(count):
-            key_bytes = packed[i]
-            length = lengths[i]
-            total_bytes += length
-            packet_counts.update(key_bytes)
-            if length > 0:  # descriptors, unlike packets, may carry no length
-                byte_counts.update(key_bytes, length)
-                heavy_hitters.update(key_bytes, length)
-            spreaders.update(src_ips[i], dst_ips[i])
-            port_scanners.update(src_ips[i], (dst_ips[i] << 16) | dst_ports[i])
-            if protocols[i] == PROTO_TCP and flags[i] & syn_flag and not flags[i] & ack_flag:
-                syn_packets += 1
-        self.bytes += total_bytes
-        self.syn_packets += syn_packets
+        self.syn_packets += sum(
+            1
+            for protocol, flags in zip(block.protocols(), block.flags.tolist())
+            if protocol == PROTO_TCP and flags & syn_flag and not flags & ack_flag
+        )
         return count
 
     def observe_event(self, event: FlowEvent) -> None:

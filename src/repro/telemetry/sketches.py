@@ -19,8 +19,10 @@ provided, both built on the repository's hardware-style hash families
 from __future__ import annotations
 
 import math
-from typing import List, Union
+import operator
+from typing import List, Optional, Sequence, Union
 
+from repro.columns.hashing import ByteColumn, H3ColumnHasher
 from repro.hashing.h3 import KeyLike
 from repro.hashing.multi_hash import MultiHash
 from repro.hashing.tabulation import TabulationHash
@@ -28,6 +30,16 @@ from repro.sim.rng import SeedLike, make_rng
 
 COUNTER_BITS = 32
 """Width of one sketch counter cell as a hardware design would provision it."""
+
+
+# Compiled column hashers per hash family: (resolved seed, depth, key_bits,
+# key width) -> one H3ColumnHasher per sketch row.  Every pipeline of a
+# fleet, and every pipeline a merged query builds, draws its sketches from
+# the same seed, so they all share one compile.  Compiled tables are never
+# mutated, so sharing is safe; the cache is bounded and eviction only costs
+# a recompile.
+_COLUMN_HASHERS: dict = {}
+_COLUMN_HASHERS_MAX = 64
 
 
 def _key_bits_of(key: KeyLike, limit_bits: int) -> KeyLike:
@@ -144,6 +156,58 @@ class CountMinSketch:
             row[index] += count
         self.total += count
 
+    def _hashers_for(self, key_width: int) -> List[H3ColumnHasher]:
+        """One compiled column hasher per row, for ``key_width``-byte keys.
+
+        Compiled on the first block, not at construction, so building a
+        sketch stays as cheap as before; then shared through the module
+        cache with every sketch of the same hash family.
+        """
+        cache_key = (self._hash_seed, self.depth, self.key_bits, key_width)
+        hashers = _COLUMN_HASHERS.get(cache_key)
+        if hashers is None:
+            if len(_COLUMN_HASHERS) >= _COLUMN_HASHERS_MAX:
+                _COLUMN_HASHERS.pop(next(iter(_COLUMN_HASHERS)))
+            hashers = _COLUMN_HASHERS[cache_key] = [
+                H3ColumnHasher(h3, key_width) for h3 in self._hashes
+            ]
+        return hashers
+
+    def update_block(
+        self,
+        key_column: ByteColumn,
+        count: int,
+        weights: Optional[Sequence[int]] = None,
+    ) -> None:
+        """Account a column of ``count`` fixed-width byte keys in one pass.
+
+        ``key_column`` holds the keys back to back; key ``i`` counts once,
+        or ``weights[i]`` times when weights are given.  The grid ends up
+        exactly as ``update(key_i, weights[i])`` row by row would leave it:
+        each sketch row hashes the whole column once, and only the counter
+        additions run per key.  A zero weight leaves the grid unchanged,
+        so a length column can be passed as it is.
+        """
+        if count <= 0:
+            return
+        if len(key_column) % count:
+            raise ValueError(f"key column of {len(key_column)} bytes does not split into {count} keys")
+        if weights is not None:
+            if len(weights) != count:
+                raise ValueError(f"{len(weights)} weights for {count} keys")
+            if min(weights) < 0:
+                raise ValueError("count must be non-negative")
+        width = self.width
+        for row, hasher in zip(self._rows, self._hashers_for(len(key_column) // count)):
+            indices = hasher.bucket_column(key_column, count, width)
+            if weights is None:
+                for index in indices:
+                    row[index] += 1
+            else:
+                for index, weight in zip(indices, weights):
+                    row[index] += weight
+        self.total += count if weights is None else sum(weights)
+
     def estimate(self, key: KeyLike) -> int:
         """Point query: an overestimate of ``key``'s true count (never under)."""
         key = _key_bits_of(key, self.key_bits)
@@ -171,8 +235,7 @@ class CountMinSketch:
         if other._hash_seed != self._hash_seed:
             raise ValueError("cannot merge sketches built from different hash seeds")
         for row, other_row in zip(self._rows, other._rows):
-            for index, value in enumerate(other_row):
-                row[index] += value
+            row[:] = map(operator.add, row, other_row)
         self.total += other.total
         return self
 
@@ -262,14 +325,37 @@ class DistinctCounter:
             raise ValueError("items_added must be non-negative")
         if bitmap_bits <= 0:
             raise ValueError("bitmap_bits must be positive")
+        counter = cls.sharing(
+            TabulationHash((key_bits + 7) // 8, 32, seed=hash_seed),
+            hash_seed,
+            bitmap_bits=bitmap_bits,
+            key_bits=key_bits,
+        )
+        counter._bitmap = bitmap
+        counter._bits_set = bin(bitmap).count("1")
+        counter.items_added = items_added
+        return counter
+
+    @classmethod
+    def sharing(
+        cls, hash_: TabulationHash, hash_seed: int, *, bitmap_bits: int, key_bits: int
+    ) -> "DistinctCounter":
+        """An empty counter hashing with ``hash_``, already built from the
+        resolved ``hash_seed``.
+
+        Skips re-deriving the seed and looking up the tables, which a
+        superspreader detector would otherwise repeat for every source it
+        admits; the caller guarantees ``hash_`` matches ``hash_seed`` and
+        ``key_bits``.
+        """
         counter = cls.__new__(cls)
         counter.bitmap_bits = bitmap_bits
         counter.key_bits = key_bits
         counter._hash_seed = hash_seed
-        counter._hash = TabulationHash((key_bits + 7) // 8, 32, seed=hash_seed)
-        counter._bitmap = bitmap
-        counter._bits_set = bin(bitmap).count("1")
-        counter.items_added = items_added
+        counter._hash = hash_
+        counter._bitmap = 0
+        counter._bits_set = 0
+        counter.items_added = 0
         return counter
 
     @property
@@ -284,7 +370,12 @@ class DistinctCounter:
 
     def add(self, item: KeyLike) -> None:
         item = _key_bits_of(item, self.key_bits)
-        bit = 1 << (self._hash(item) % self.bitmap_bits)
+        self.add_position(self._hash(item) % self.bitmap_bits)
+
+    def add_position(self, position: int) -> None:
+        """Add an item whose hash, reduced mod ``bitmap_bits``, is ``position``
+        (the block path hashes a whole column up front)."""
+        bit = 1 << position
         if not self._bitmap & bit:
             self._bitmap |= bit
             self._bits_set += 1

@@ -8,14 +8,27 @@ bounded table of sources with a per-source :class:`~repro.telemetry.sketches.
 DistinctCounter` bitmap: duplicate contacts to the same destination set the
 same bit and are not counted again, which is what separates a chatty flow
 from a spreading one.
+
+The smallest monitored source is found with a *lazy min-heap*, the pattern
+:mod:`repro.telemetry.heavy_hitters` uses: one ``(bits_set, seq, source)``
+entry per monitored source, where ``seq`` is its admission order.  Bitmaps
+only gain bits, so an entry's ``bits_set`` is a lower bound of the live
+value; an eviction pops the top, re-pushes it at its live value if it has
+grown, and evicts it once the top is current.  The ``seq`` tie-break picks
+the earliest-admitted source among equal fan-outs — the one ``min()`` over
+the dict would pick — so victims match a linear scan at ``O(log
+max_sources)`` instead of ``O(max_sources)`` per eviction.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.columns.hashing import TabulationColumnHasher
 from repro.hashing.h3 import KeyLike
+from repro.hashing.tabulation import TabulationHash
 from repro.sim.rng import SeedLike, make_rng
 from repro.telemetry.sketches import DistinctCounter
 
@@ -60,10 +73,23 @@ class SuperSpreaderDetector:
         self.bitmap_bits = bitmap_bits
         self.threshold = threshold
         self.key_bits = key_bits
-        self._seed = make_rng(seed).getrandbits(64)
         self._counters: Dict[Hashable, DistinctCounter] = {}
+        # Lazy min-heap of (bits_set, admission seq, source), one entry per
+        # monitored source; see the module docstring.
+        self._heap: List[Tuple[int, int, Hashable]] = []
+        self._seq = 0
+        self._set_seed(make_rng(seed).getrandbits(64))
         self.updates = 0
         self.evictions = 0
+
+    def _set_seed(self, seed: int) -> None:
+        """Adopt the resolved detector seed and the bitmap hash derived from it."""
+        self._seed = seed
+        # Every per-source bitmap hashes with this one function, so it is
+        # derived once here rather than per admitted source.
+        self._counter_seed = make_rng(seed).getrandbits(64)
+        self._counter_hash = TabulationHash((self.key_bits + 7) // 8, 32, seed=self._counter_seed)
+        self._column_hasher = TabulationColumnHasher(self._counter_hash.tables)
 
     @classmethod
     def from_state(
@@ -93,7 +119,7 @@ class SuperSpreaderDetector:
             key_bits=key_bits,
             seed=0,
         )
-        detector._seed = hash_seed
+        detector._set_seed(hash_seed)
         counter_seed = detector.counter_hash_seed
         for source, counter in sources:
             if counter.bitmap_bits != bitmap_bits or counter.key_bits != key_bits:
@@ -107,6 +133,7 @@ class SuperSpreaderDetector:
             raise ValueError("updates and evictions must be non-negative")
         detector.updates = updates
         detector.evictions = evictions
+        detector._rebuild_heap()
         return detector
 
     @property
@@ -118,12 +145,12 @@ class SuperSpreaderDetector:
     def counter_hash_seed(self) -> int:
         """The derived seed every per-source bitmap actually hashes with.
 
-        ``_counter_for`` builds each bitmap as ``DistinctCounter(...,
-        seed=self._seed)``, and the counter resolves that seed-like input
-        to ``make_rng(seed).getrandbits(64)`` — so this, not ``_seed``
-        itself, is what a restored counter must carry to be mergeable.
+        Each bitmap hashes as ``DistinctCounter(..., seed=self._seed)``
+        would, and the counter resolves that seed-like input to
+        ``make_rng(seed).getrandbits(64)`` — so this, not ``_seed`` itself,
+        is what a restored counter must carry to be mergeable.
         """
-        return make_rng(self._seed).getrandbits(64)
+        return self._counter_seed
 
     def source_states(self) -> List[Tuple[Hashable, DistinctCounter]]:
         """The monitored ``(source, counter)`` pairs, for snapshotting."""
@@ -132,24 +159,77 @@ class SuperSpreaderDetector:
     def __len__(self) -> int:
         return len(self._counters)
 
-    def _counter_for(self, source: Hashable) -> DistinctCounter:
-        counter = self._counters.get(source)
-        if counter is not None:
-            return counter
+    def _new_counter(self) -> DistinctCounter:
+        # All counters share one hash so estimates are comparable.
+        return DistinctCounter.sharing(
+            self._counter_hash,
+            self._counter_seed,
+            bitmap_bits=self.bitmap_bits,
+            key_bits=self.key_bits,
+        )
+
+    def _rebuild_heap(self) -> None:
+        """One fresh heap entry per source, sequenced in dict order."""
+        self._heap = [
+            (counter.bits_set, seq, source)
+            for seq, (source, counter) in enumerate(self._counters.items())
+        ]
+        heapq.heapify(self._heap)
+        self._seq = len(self._heap)
+
+    def _evict_min(self) -> None:
+        """Drop the source with the fewest bits set (earliest admitted on ties).
+
+        ``bits_set`` is a monotone proxy for ``estimate()`` and O(1) to read.
+        """
+        heap = self._heap
+        counters = self._counters
+        while True:
+            bits, seq, source = heap[0]
+            current = counters[source].bits_set
+            if current == bits:
+                heapq.heappop(heap)
+                del counters[source]
+                self.evictions += 1
+                return
+            heapq.heapreplace(heap, (current, seq, source))
+
+    def _admit(self, source: Hashable) -> DistinctCounter:
         if len(self._counters) >= self.max_sources:
-            # bits_set is a monotone proxy for estimate() and O(1) to read.
-            victim = min(self._counters, key=lambda s: self._counters[s].bits_set)
-            del self._counters[victim]
-            self.evictions += 1
-        # All counters share one hash seed so estimates are comparable.
-        counter = DistinctCounter(self.bitmap_bits, key_bits=self.key_bits, seed=self._seed)
-        self._counters[source] = counter
+            self._evict_min()
+        counter = self._counters[source] = self._new_counter()
+        heapq.heappush(self._heap, (0, self._seq, source))
+        self._seq += 1
         return counter
 
     def update(self, source: Hashable, destination: KeyLike) -> None:
         """Record that ``source`` contacted ``destination``."""
-        self._counter_for(source).add(destination)
+        counter = self._counters.get(source)
+        if counter is None:
+            counter = self._admit(source)
+        counter.add(destination)
         self.updates += 1
+
+    def update_column(self, sources: Sequence[Hashable], destinations: Sequence[int]) -> None:
+        """Record ``sources[i]`` contacting integer ``destinations[i]``, in order.
+
+        Leaves the detector exactly as :meth:`update` row by row would: the
+        destination column is hashed in one pass, and only admission,
+        eviction and bit-setting — which depend on arrival order — run per
+        row.
+        """
+        if self.key_bits % 8:
+            # The column hasher reads whole bytes; clamp as add() does.
+            mask = (1 << self.key_bits) - 1
+            destinations = [destination & mask for destination in destinations]
+        positions = self._column_hasher.bucket_column(destinations, self.bitmap_bits)
+        counters = self._counters
+        for source, position in zip(sources, positions):
+            counter = counters.get(source)
+            if counter is None:
+                counter = self._admit(source)
+            counter.add_position(position)
+        self.updates += len(positions)
 
     def merge(self, other: "SuperSpreaderDetector") -> "SuperSpreaderDetector":
         """Union ``other``'s per-source bitmaps into this detector.
@@ -171,16 +251,12 @@ class SuperSpreaderDetector:
         for source, counter in other._counters.items():
             mine = self._counters.get(source)
             if mine is None:
-                mine = DistinctCounter(
-                    self.bitmap_bits, key_bits=self.key_bits, seed=self._seed
-                )
-                self._counters[source] = mine
+                mine = self._counters[source] = self._new_counter()
             mine.merge(counter)
         self.updates += other.updates
+        self._rebuild_heap()
         while len(self._counters) > self.max_sources:
-            victim = min(self._counters, key=lambda s: self._counters[s].bits_set)
-            del self._counters[victim]
-            self.evictions += 1
+            self._evict_min()
         return self
 
     def fanout(self, source: Hashable) -> float:
