@@ -20,6 +20,10 @@ properties are checked:
    (``created == live + exported + folded + lost``) hold across the
    failure and recovery.
 
+Property 1 is checked on both ingest shapes: descriptor lists, and
+``DescriptorBlock`` slices, whose backups consume the primary's columnar
+outcomes.
+
 Set ``DURABILITY_BENCH_PACKETS`` to shrink or grow the workload (CI smoke
 runs use a small value).
 """
@@ -31,7 +35,7 @@ from repro.cluster import ClusterCoordinator
 from repro.net.parser import DescriptorExtractor
 from repro.reporting import format_table, merged_top_k, run_durability_comparison
 from repro.telemetry import TelemetryConfig
-from repro.traffic import scenario_descriptors
+from repro.traffic import scenario_block, scenario_descriptors
 
 PACKETS = int(os.environ.get("DURABILITY_BENCH_PACKETS", "4000"))
 SEED = 47
@@ -129,6 +133,37 @@ def test_k2_replication_makes_failover_lossless(bench_emit):
         "k2_replica_memory_bytes": memory_overhead,
         "k2_ingest_slowdown": round(slowdown, 3),
     })
+
+
+def _ingest_blocks(coordinator: ClusterCoordinator, fail_at_half: bool):
+    """The ``node_failover`` schedule on block ingest, in ``batch_size``
+    slices: the replication plane stays columnar (backups receive
+    ``OutcomeBlock`` rows).  Returns the failure event, if any."""
+    block = scenario_block("node_failover", PACKETS, seed=SEED)
+    event = None
+    for offset in range(0, PACKETS, 128):
+        if fail_at_half and event is None and offset >= PACKETS // 2:
+            victim = max(coordinator.nodes, key=lambda n: coordinator.nodes[n].active_flows)
+            assert coordinator.nodes[victim].active_flows > 0
+            event = coordinator.fail_node(victim)
+        coordinator.ingest(block.slice_rows(offset, offset + 128))
+    return event
+
+
+def test_k2_block_ingest_replication_is_lossless():
+    baseline = _build()
+    _ingest_blocks(baseline, fail_at_half=False)
+
+    replicated = _build(replication=2)
+    event = _ingest_blocks(replicated, fail_at_half=True)
+
+    assert event["recovery"] == "replicas"
+    assert replicated.replicated_packets > 0
+    assert replicated.flows_lost == 0
+    assert replicated.telemetry_packets_lost == 0
+    assert replicated.merged_telemetry().packets == PACKETS
+    assert _top_k(replicated) == _top_k(baseline)
+    _assert_books_balance(replicated)
 
 
 def test_checkpoint_interval_bounds_the_loss_window(bench_emit):

@@ -37,7 +37,7 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.columns.block import DescriptorBlock
+from repro.columns.block import DescriptorBlock, OutcomeBlock
 from repro.core.config import FlowLUTConfig, small_test_config
 from repro.core.flow_lut import LookupOutcome
 from repro.core.flow_state import FlowRecord
@@ -609,32 +609,44 @@ class ClusterCoordinator:
         """Release the executor's pool (safe to call repeatedly)."""
         self.executor.close()
 
-    def _replicate(self, primary_id: str, outcomes: Sequence[LookupOutcome]) -> None:
+    def _replicate(
+        self, primary_id: str, outcomes: Union[OutcomeBlock, Sequence[LookupOutcome]]
+    ) -> None:
         """Mirror a primary's outcome batch onto its keys' backup nodes.
 
-        The replica set is memoised per *batch* only: flows repeat heavily
-        within a batch (that is what flow tables exploit), so the memo
-        captures most repeated ring walks, while its size stays bounded by
-        the batch instead of growing one entry per distinct flow key for
-        the life of a membership.
+        Rows are grouped per backup node in row order.  A columnar
+        :class:`~repro.columns.OutcomeBlock` reaches each backup as one
+        :meth:`~repro.columns.OutcomeBlock.take` of its rows, so the
+        replication plane stays columnar end to end; an outcome list is
+        split into sub-lists.  The replica set is memoised per *batch*
+        only: flows repeat heavily within a batch (that is what flow
+        tables exploit), so the memo captures most repeated ring walks,
+        while its size stays bounded by the batch instead of growing one
+        entry per distinct flow key for the life of a membership.
         """
         if len(self.ring) < 2:
             return  # a one-node ring has nowhere to put a backup
+        columnar = isinstance(outcomes, OutcomeBlock)
+        keys = (
+            outcomes.block.keys()
+            if columnar
+            else [outcome.descriptor.key_bytes for outcome in outcomes]
+        )
         backups: Dict[bytes, List[str]] = {}
-        groups: Dict[str, List[LookupOutcome]] = {}
-        for outcome in outcomes:
-            key_bytes = outcome.descriptor.key_bytes
+        groups: Dict[str, List[int]] = {}
+        for row, key_bytes in enumerate(keys):
             backup_ids = backups.get(key_bytes)
             if backup_ids is None:
                 backup_ids = self.backups_of(key_bytes)
                 backups[key_bytes] = backup_ids
             for backup_id in backup_ids:
-                groups.setdefault(backup_id, []).append(outcome)
-        for backup_id, group in groups.items():
+                groups.setdefault(backup_id, []).append(row)
+        for backup_id, rows in groups.items():
+            group = outcomes.take(rows) if columnar else [outcomes[row] for row in rows]
             self.nodes[backup_id].replicate(primary_id, group)
-            self.replicated_packets += len(group)
+            self.replicated_packets += len(rows)
             if self.obs is not None:
-                self._obs_replicated.inc(len(group))
+                self._obs_replicated.inc(len(rows))
 
     def run_housekeeping(self, now_ps: Optional[int] = None) -> int:
         """One flow-aging pass across every alive node; returns removals.

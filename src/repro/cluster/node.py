@@ -12,9 +12,10 @@ ring and, on membership changes, moves live flow state between nodes with
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.replica import ReplicaStore
+from repro.columns.block import OutcomeBlock
 from repro.core.config import FlowLUTConfig
 from repro.core.flow_lut import LookupOutcome
 from repro.core.flow_state import FlowRecord
@@ -270,21 +271,31 @@ class ClusterNode:
     # Replication (backup role)
     # ------------------------------------------------------------------ #
 
-    def replicate(self, primary_id: str, outcomes: Sequence[LookupOutcome]) -> int:
+    def replicate(
+        self, primary_id: str, outcomes: Union[OutcomeBlock, Sequence[LookupOutcome]]
+    ) -> int:
         """Mirror a primary's outcome batch into this node's backup plane.
 
+        ``outcomes`` is the primary's columnar
+        :class:`~repro.columns.OutcomeBlock` (block ingest) or its list of
+        :class:`LookupOutcome` objects (descriptor-list ingest).
         Flow-record copies land in :attr:`replica_flows` (only outcomes
         that produced a flow ID — see :meth:`ReplicaStore.observe_outcome
         <repro.cluster.replica.ReplicaStore.observe_outcome>`), and, with
         telemetry enabled, every outcome also feeds a per-primary backup
         pipeline so the primary's sketches can be reassembled exactly
-        after a failure.  Returns the number of outcomes mirrored.
+        after a failure.  Returns the number of outcomes handed over,
+        including those without a flow ID that the replica store skips
+        (the backup pipeline still measures them).
         """
         if not self.alive:
             raise RuntimeError(f"node {self.node_id!r} has failed; cannot replicate")
-        for outcome in outcomes:
-            self.replica_flows.observe_outcome(outcome)
-        if self.pipeline is not None and outcomes:
+        if isinstance(outcomes, OutcomeBlock):
+            self.replica_flows.observe_block(outcomes)
+        else:
+            for outcome in outcomes:
+                self.replica_flows.observe_outcome(outcome)
+        if self.pipeline is not None and len(outcomes):
             self.backup_pipeline(primary_id).observe_outcomes(outcomes)
         return len(outcomes)
 

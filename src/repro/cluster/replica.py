@@ -31,6 +31,18 @@ timestamps) — the exact-path per-flow budget, shared so the replication
 memory overhead stays comparable against the primary tables."""
 
 
+def _new_record(key, timestamp_ps: int) -> FlowRecord:
+    return FlowRecord(flow_id=0, key=key, first_seen_ps=timestamp_ps, last_seen_ps=timestamp_ps)
+
+
+def _account(record: FlowRecord, length_bytes: int, timestamp_ps: int, tcp_flags: int) -> None:
+    """Add one mirrored packet to a replica record (both ingest shapes)."""
+    record.packets += 1
+    record.bytes += length_bytes
+    record.last_seen_ps = max(record.last_seen_ps, timestamp_ps)
+    record.tcp_flags |= tcp_flags
+
+
 class ReplicaStore:
     """Backup copies of live flow records, keyed by engine key bytes.
 
@@ -66,19 +78,43 @@ class ReplicaStore:
         timestamp = getattr(descriptor, "timestamp_ps", 0)
         record = self._records.get(key_bytes)
         if record is None:
-            record = FlowRecord(
-                flow_id=0,
-                key=descriptor.key,
-                first_seen_ps=timestamp,
-                last_seen_ps=timestamp,
-            )
-            self._records[key_bytes] = record
-        record.packets += 1
-        record.bytes += getattr(descriptor, "length_bytes", 0)
-        record.last_seen_ps = max(record.last_seen_ps, timestamp)
-        record.tcp_flags |= getattr(descriptor, "tcp_flags", 0)
+            record = self._records[key_bytes] = _new_record(descriptor.key, timestamp)
+        _account(
+            record,
+            getattr(descriptor, "length_bytes", 0),
+            timestamp,
+            getattr(descriptor, "tcp_flags", 0),
+        )
         self.updates += 1
         return True
+
+    def observe_block(self, outcomes) -> int:
+        """Mirror a columnar :class:`~repro.columns.OutcomeBlock`, row by row.
+
+        Rows are applied in order with the same rule as
+        :meth:`observe_outcome`: rows without a flow ID (``-1``) are
+        skipped.  A :class:`~repro.net.fivetuple.FlowKey` is built only for
+        a row that creates a record.  Returns the number of rows mirrored.
+        """
+        block = outcomes.block
+        keys = block.keys()
+        lengths = block.lengths.tolist()
+        timestamps = block.timestamps.tolist()
+        flags = block.flags.tolist()
+        records = self._records
+        mirrored = 0
+        for row, flow_id in enumerate(outcomes.flow_ids.tolist()):
+            if flow_id < 0:
+                continue
+            key_bytes = keys[row]
+            timestamp = timestamps[row]
+            record = records.get(key_bytes)
+            if record is None:
+                record = records[key_bytes] = _new_record(block.flow_key(row), timestamp)
+            _account(record, lengths[row], timestamp, flags[row])
+            mirrored += 1
+        self.updates += mirrored
+        return mirrored
 
     def seed(self, key_bytes: bytes, record: FlowRecord) -> None:
         """Install a copy of the primary's full ``record`` (plane resync).

@@ -62,6 +62,13 @@ def _engine_key(key: FlowKey) -> bytes:
     return _ENGINE_STRUCT.pack(key.dst_ip, key.src_ip, key.dst_port, key.src_port, key.protocol)
 
 
+def _flow_key(engine_key: bytes) -> FlowKey:
+    dst_ip, src_ip, dst_port, src_port, protocol = _ENGINE_STRUCT.unpack(engine_key)
+    return FlowKey(
+        src_ip=src_ip, dst_ip=dst_ip, src_port=src_port, dst_port=dst_port, protocol=protocol
+    )
+
+
 def _column(values: Sequence[int], typecode: str, dtype: str):
     np = backend.np
     if np is not None:
@@ -167,25 +174,19 @@ class DescriptorBlock:
     def flow_keys(self) -> List[FlowKey]:
         """Per-row :class:`FlowKey` objects (cached; built on first use)."""
         if self._flow_key_cache is None:
-            unpack = _ENGINE_STRUCT.unpack
             width = self.key_width
             data = self.key_data
-            keys = []
-            for i in range(len(self)):
-                dst_ip, src_ip, dst_port, src_port, protocol = unpack(
-                    data[i * width : (i + 1) * width]
-                )
-                keys.append(
-                    FlowKey(
-                        src_ip=src_ip,
-                        dst_ip=dst_ip,
-                        src_port=src_port,
-                        dst_port=dst_port,
-                        protocol=protocol,
-                    )
-                )
-            self._flow_key_cache = keys
+            self._flow_key_cache = [
+                _flow_key(data[i * width : (i + 1) * width]) for i in range(len(self))
+            ]
         return self._flow_key_cache
+
+    def flow_key(self, row: int) -> FlowKey:
+        """Row ``row``'s :class:`FlowKey`, without building the whole column."""
+        if self._flow_key_cache is not None:
+            return self._flow_key_cache[row]
+        width = self.key_width
+        return _flow_key(self.key_data[row * width : (row + 1) * width])
 
     def packed_keys(self) -> List[bytes]:
         """Per-row keys in ``FlowKey.pack()`` byte order (telemetry's keying)."""
@@ -322,10 +323,24 @@ class OutcomeBlock:
 
     ``flow_ids`` uses ``-1`` for "no flow id" and ``first_paths`` uses ``-1``
     for "no first-path preference"; ``stages`` stores codes into
-    :data:`STAGES`.  ``to_outcomes`` materialises the per-object
-    :class:`~repro.core.flow_lut.LookupOutcome` list when a consumer (e.g.
-    the replication path) genuinely needs objects.
+    :data:`STAGES`.  Consumers read the columns directly — telemetry
+    measures them, and replication hands each backup a :meth:`take` of its
+    rows.  ``to_outcomes`` materialises the per-object
+    :class:`~repro.core.flow_lut.LookupOutcome` list, the reference the
+    equivalence tests compare against.
     """
+
+    _COLUMNS = (
+        ("flow_ids", "q"),
+        ("hits", "B"),
+        ("new_flows", "B"),
+        ("stages", "B"),
+        ("first_paths", "b"),
+        ("submit_ps", "q"),
+        ("complete_ps", "q"),
+    )
+    """Outcome columns with their stdlib ``array`` typecodes (``"B"`` columns
+    are ``bytearray`` on the stdlib backend)."""
 
     __slots__ = ("block", "flow_ids", "hits", "new_flows", "stages", "first_paths", "submit_ps", "complete_ps")
 
@@ -400,6 +415,27 @@ class OutcomeBlock:
                     submit_ps[row_out] = part.submit_ps[row_in]
                     complete_ps[row_out] = part.complete_ps[row_in]
         return cls(block, flow_ids, hits, new_flows, stages, first_paths, submit_ps, complete_ps)
+
+    def take(self, indices) -> "OutcomeBlock":
+        """A new outcome block holding the given rows, in the given order.
+
+        Every outcome column is gathered along with the descriptor block
+        (:meth:`DescriptorBlock.take`); indices may repeat.
+        """
+        block = self.block.take(indices)
+        np = backend.np
+        if np is not None:
+            idx = np.asarray(indices, dtype=np.int64)
+            return OutcomeBlock(
+                block, *(np.asarray(getattr(self, name))[idx] for name, _ in self._COLUMNS)
+            )
+        rows = list(indices)
+        columns = []
+        for name, typecode in self._COLUMNS:
+            column = getattr(self, name)
+            values = [int(column[i]) for i in rows]
+            columns.append(bytearray(values) if typecode == "B" else array(typecode, values))
+        return OutcomeBlock(block, *columns)
 
     def to_outcomes(self) -> list:
         """Materialise :class:`LookupOutcome` objects for every row, in order."""

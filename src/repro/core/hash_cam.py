@@ -101,7 +101,7 @@ class HashCamTable:
         self.lookups = 0
         self.stage_hits = {stage: 0 for stage in LookupStage}
         self.insert_failures = 0
-        self._column_hashers: Dict[int, tuple] = {}
+        self._column_hashers: Dict[int, Optional[object]] = {}
 
     # ------------------------------------------------------------------ #
     # Index helpers
@@ -117,33 +117,29 @@ class HashCamTable:
 
         ``key_data`` holds ``count`` keys of ``width`` bytes back to back;
         the two returned columns equal :meth:`hash_indices` applied per key.
-        The column hashers (one per H3 function, per key width) are built on
+        Both H3 functions are compiled into one column hasher per key width
+        (so a column costs one gather per key byte for the pair), built on
         first use and cached for the table's lifetime.
         """
         from repro.columns.hashing import H3ColumnHasher
         from repro.hashing.h3 import H3Hash
 
-        hashers = self._column_hashers.get(width)
-        if hashers is None:
+        if width not in self._column_hashers:
             functions = list(self._hashes)
             if all(isinstance(fn, H3Hash) for fn in functions):
-                hashers = tuple(H3ColumnHasher(fn, width) for fn in functions)
+                self._column_hashers[width] = H3ColumnHasher(functions, width)
             else:  # non-H3 table (never the default config): per-key fallback
-                hashers = ()
-            self._column_hashers[width] = hashers
-        buckets = self.buckets_per_memory
-        if not hashers:
+                self._column_hashers[width] = None
+        hasher = self._column_hashers[width]
+        if hasher is None:
             view = memoryview(key_data)
             pairs = [
                 self.hash_indices(bytes(view[i * width : (i + 1) * width]))
                 for i in range(count)
             ]
             return [p[0] for p in pairs], [p[1] for p in pairs]
-        h1 = hashers[0].hash_column(key_data, count)
-        h2 = hashers[1].hash_column(key_data, count)
-        if isinstance(h1, list):
-            return [v % buckets for v in h1], [v % buckets for v in h2]
-        return h1 % buckets, h2 % buckets
+        index1, index2 = hasher.bucket_columns(key_data, count, self.buckets_per_memory)
+        return index1, index2
 
     def bucket_entries_at(self, memory: int, bucket: int) -> List[TableEntry]:
         """The entries currently stored at ``(memory, bucket)`` (copy)."""

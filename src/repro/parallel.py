@@ -50,7 +50,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
 
-from repro.columns.block import DescriptorBlock
+from repro.columns.block import DescriptorBlock, OutcomeBlock
 from repro.obs.spans import SpanRecorder
 
 ENV_VAR = "REPRO_PARALLEL"
@@ -65,7 +65,7 @@ class NodeWork:
     group: object  # Sequence of descriptors, or a DescriptorBlock slice
     batch_size: int
     packets: int
-    collect_outcomes: bool  # materialise outcomes for barrier replication
+    collect_outcomes: bool  # keep each sub-batch's outcomes for barrier replication
     trace: bool  # record this node's engine spans into a private recorder
     span_clock: Optional[Callable[[], int]] = None
 
@@ -76,7 +76,9 @@ class NodeSegmentResult:
 
     node_id: str
     node: object  # the (possibly round-tripped) node after processing
-    outcomes: Optional[List[list]]  # per sub-batch, when collect_outcomes
+    # Per sub-batch, when collect_outcomes: an OutcomeBlock for a block
+    # group, a list of LookupOutcome objects for a descriptor list.
+    outcomes: Optional[List[Union[OutcomeBlock, list]]]
     recorder: Optional[SpanRecorder]  # private span recorder, when traced
     busy_ns: int  # worker-thread CPU time this node's work cost the host
 
@@ -85,8 +87,9 @@ def execute_node_work(work: NodeWork) -> NodeSegmentResult:
     """Run one node's sub-batches; module-level so process pools can ship it.
 
     The loop is the exact per-node body of the sequential coordinator:
-    sub-batches of ``batch_size`` through ``node.process_batch``, outcomes
-    materialised per sub-batch when the barrier will replicate them.  Span
+    sub-batches of ``batch_size`` through ``node.process_batch``, each
+    sub-batch's outcomes (as the engine returned them, columnar for a
+    block) kept when the barrier will replicate them.  Span
     emission goes to a private recorder (grafted at the barrier); with
     ``trace`` off the engine's recorder is parked so an unsampled parallel
     segment allocates nothing, like a suppressed sequential subtree.
@@ -108,7 +111,7 @@ def execute_node_work(work: NodeWork) -> NodeSegmentResult:
         group = work.group
         count = work.packets
         size = work.batch_size
-        outcomes: Optional[List[list]] = [] if work.collect_outcomes else None
+        outcomes: Optional[list] = [] if work.collect_outcomes else None
         columnar = isinstance(group, DescriptorBlock)
         with (
             recorder.root("node", node=work.node_id, packets=count)
@@ -117,14 +120,11 @@ def execute_node_work(work: NodeWork) -> NodeSegmentResult:
         ):
             for offset in range(0, count, size):
                 if columnar:
-                    piece = group.slice_rows(offset, offset + size)
-                    batch = node.process_batch(piece)
-                    if outcomes is not None:
-                        outcomes.append(batch.to_outcomes())
+                    batch = node.process_batch(group.slice_rows(offset, offset + size))
                 else:
                     batch = node.process_batch(group[offset : offset + size])
-                    if outcomes is not None:
-                        outcomes.append(batch)
+                if outcomes is not None:
+                    outcomes.append(batch)
     finally:
         node.set_span_recorder(previous)
     busy_ns = time.thread_time_ns() - start_ns

@@ -33,11 +33,11 @@ COUNTER_BITS = 32
 
 
 # Compiled column hashers per hash family: (resolved seed, depth, key_bits,
-# key width) -> one H3ColumnHasher per sketch row.  Every pipeline of a
-# fleet, and every pipeline a merged query builds, draws its sketches from
-# the same seed, so they all share one compile.  Compiled tables are never
-# mutated, so sharing is safe; the cache is bounded and eviction only costs
-# a recompile.
+# key width) -> one H3ColumnHasher compiling every sketch row's function.
+# Every pipeline of a fleet, and every pipeline a merged query builds, draws
+# its sketches from the same seed, so they all share one compile.  Compiled
+# tables are never mutated, so sharing is safe; the cache is bounded and
+# eviction only costs a recompile.
 _COLUMN_HASHERS: dict = {}
 _COLUMN_HASHERS_MAX = 64
 
@@ -156,22 +156,20 @@ class CountMinSketch:
             row[index] += count
         self.total += count
 
-    def _hashers_for(self, key_width: int) -> List[H3ColumnHasher]:
-        """One compiled column hasher per row, for ``key_width``-byte keys.
+    def _hasher_for(self, key_width: int) -> H3ColumnHasher:
+        """The column hasher of this sketch's rows, for ``key_width``-byte keys.
 
         Compiled on the first block, not at construction, so building a
         sketch stays as cheap as before; then shared through the module
         cache with every sketch of the same hash family.
         """
         cache_key = (self._hash_seed, self.depth, self.key_bits, key_width)
-        hashers = _COLUMN_HASHERS.get(cache_key)
-        if hashers is None:
+        hasher = _COLUMN_HASHERS.get(cache_key)
+        if hasher is None:
             if len(_COLUMN_HASHERS) >= _COLUMN_HASHERS_MAX:
                 _COLUMN_HASHERS.pop(next(iter(_COLUMN_HASHERS)))
-            hashers = _COLUMN_HASHERS[cache_key] = [
-                H3ColumnHasher(h3, key_width) for h3 in self._hashes
-            ]
-        return hashers
+            hasher = _COLUMN_HASHERS[cache_key] = H3ColumnHasher(list(self._hashes), key_width)
+        return hasher
 
     def update_block(
         self,
@@ -184,9 +182,10 @@ class CountMinSketch:
         ``key_column`` holds the keys back to back; key ``i`` counts once,
         or ``weights[i]`` times when weights are given.  The grid ends up
         exactly as ``update(key_i, weights[i])`` row by row would leave it:
-        each sketch row hashes the whole column once, and only the counter
-        additions run per key.  A zero weight leaves the grid unchanged,
-        so a length column can be passed as it is.
+        one stacked hash of the whole column yields every sketch row's
+        indices, and only the counter additions run per key.  A zero
+        weight leaves the grid unchanged, so a length column can be passed
+        as it is.
         """
         if count <= 0:
             return
@@ -197,9 +196,9 @@ class CountMinSketch:
                 raise ValueError(f"{len(weights)} weights for {count} keys")
             if min(weights) < 0:
                 raise ValueError("count must be non-negative")
-        width = self.width
-        for row, hasher in zip(self._rows, self._hashers_for(len(key_column) // count)):
-            indices = hasher.bucket_column(key_column, count, width)
+        hasher = self._hasher_for(len(key_column) // count)
+        columns = hasher.bucket_columns(key_column, count, self.width)
+        for row, indices in zip(self._rows, columns):
             if weights is None:
                 for index in indices:
                     row[index] += 1
