@@ -18,11 +18,9 @@ The package is organised as the paper's system is:
   with flow-state migration, k=2 ring replication with lossless backup
   promotion, periodic checkpointing, and mergeable cluster-wide telemetry
   (:class:`~repro.cluster.ClusterCoordinator`).
-* :mod:`repro.parallel` — true parallel cluster ingestion: per-node work
-  fanned onto thread/process pools (``ClusterCoordinator(executor=...)``
-  or ``REPRO_PARALLEL=thread``) with results applied at a deterministic
-  per-segment barrier, so parallel books and obs streams are bit-identical
-  to sequential.
+* :mod:`repro.parallel` — the per-node unit of cluster ingestion: one
+  node's share of a steered segment, run on the caller thread before the
+  coordinator's barrier.
 * :mod:`repro.persist` — durable checkpoint/restore: versioned binary
   codecs for flow state, live-key maps and every telemetry structure,
   with seed/geometry guards mirroring the merge guards.
@@ -62,13 +60,6 @@ from repro.net.fivetuple import FlowKey
 from repro.net.packet import Packet
 from repro.net.parser import DescriptorExtractor, PacketDescriptor
 from repro.obs import EventJournal, MetricsRegistry, Observability, Stopwatch
-from repro.parallel import (
-    IngestExecutor,
-    ProcessExecutor,
-    SequentialExecutor,
-    ThreadExecutor,
-    resolve_executor,
-)
 from repro.sim.engine import Simulator
 from repro.telemetry import TelemetryConfig, TelemetryPipeline
 
@@ -88,7 +79,6 @@ __all__ = [
     "FlowStateTable",
     "HashCamTable",
     "HashRing",
-    "IngestExecutor",
     "LookupOutcome",
     "LookupStage",
     "MetricsRegistry",
@@ -96,15 +86,11 @@ __all__ = [
     "PROTOTYPE_CONFIG",
     "Packet",
     "PacketDescriptor",
-    "ProcessExecutor",
-    "SequentialExecutor",
     "ShardedFlowLUT",
     "Stopwatch",
     "Simulator",
     "TelemetryConfig",
     "TelemetryPipeline",
-    "ThreadExecutor",
-    "resolve_executor",
     "run_lookup_experiment",
     "small_test_config",
     "__version__",

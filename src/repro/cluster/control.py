@@ -67,9 +67,8 @@ def window_node_loads(window: WindowSnapshot, node_ids) -> Dict[str, float]:
     """Per-node completed descriptors (hit + miss deltas) in one window.
 
     Nodes in ``node_ids`` absent from the window's series read 0.0; series
-    entries for departed nodes are ignored.  This counter is maintained
-    under every executor (engines credit it inline; the process barrier
-    reconciles it), which is what makes it the control loop's load signal.
+    entries for departed nodes are ignored.  Each node's engine credits this
+    counter per batch, which is what makes it the control loop's load signal.
     """
     loads: Dict[str, float] = {node_id: 0.0 for node_id in node_ids}
     for result in ("hit", "miss"):

@@ -32,7 +32,6 @@ membership equal a single LUT serving the whole stream.
 from __future__ import annotations
 
 import os
-import time
 from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -46,7 +45,7 @@ from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.obs.alerts import default_cluster_rules
 from repro.obs.export import registry_snapshot, to_prometheus_text
 from repro.obs.plane import Observability
-from repro.parallel import ExecutorSpec, NodeWork, resolve_executor
+from repro.parallel import IngestExecutor, NodeWork
 from repro.persist import (
     NodeSnapshot,
     dump_node_snapshot,
@@ -125,24 +124,6 @@ class ClusterCoordinator:
         shipped cluster watchdogs (:func:`~repro.obs.alerts.
         default_cluster_rules`) installed, with the imbalance rule wired
         to :meth:`imbalance_report` for point-of-onset diagnosis.
-    executor: how per-node work of an :meth:`ingest` segment runs — an
-        :class:`~repro.parallel.IngestExecutor`, a spec string
-        (``"thread"``, ``"thread:8"``, ``"process:2"``, ``"off"``), or an
-        int (thread workers).  ``None`` reads ``REPRO_PARALLEL`` and
-        defaults to the sequential reference.  Every executor produces
-        bit-identical books, merged top-k and obs streams: the segment is
-        steered on the caller thread, node work runs on the pool, and all
-        order-sensitive effects (replication, checkpoint triggers, window
-        advance, span grafting) are applied at a per-segment barrier in
-        stable node order — see :mod:`repro.parallel`.  With the process
-        executor, nodes are built *without* the shared obs plane (they
-        cross a process boundary by pickle; a registry cannot), and the
-        coordinator re-credits each node's hit/miss/new-flow outcome
-        counters from its accounting at the barrier so windowed outcome
-        totals still match; per-stage timings, span traces and per-shard
-        counters are a thread/sequential-mode feature.  Call
-        :meth:`close` (or reuse one shared executor) when done with a
-        pool-backed coordinator.
     """
 
     def __init__(
@@ -160,7 +141,6 @@ class ClusterCoordinator:
         checkpoint_interval: Optional[int] = None,
         checkpoint_dir: Optional[Union[str, Path]] = None,
         obs: Union[None, bool, Observability] = None,
-        executor: ExecutorSpec = None,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -190,17 +170,7 @@ class ClusterCoordinator:
         self.flow_timeout_us = flow_timeout_us
         self.batch_size = batch_size
         self.obs = Observability.coerce(obs)
-        self.executor = resolve_executor(executor)
-        # Process-mode outcome reconciliation: last hit/miss/new-flow
-        # totals credited per node (see _credit_outcomes).
-        self._outcome_marks: Dict[str, Tuple[int, int, int]] = {}
-        # Host-side parallel ingestion accounting (see parallel_report).
-        self._segments = 0
-        self._steer_ns = 0
-        self._busy_ns = 0
-        self._critical_ns = 0
-        self._wall_ns = 0
-        self._node_busy_ns: Dict[str, int] = {}
+        self._executor = IngestExecutor()
 
         self.ring = HashRing(vnodes=vnodes)
         self.nodes: Dict[str, ClusterNode] = {}
@@ -302,11 +272,6 @@ class ClusterCoordinator:
         self.events: List[dict] = []
 
     def _make_node(self, node_id: str) -> ClusterNode:
-        # A node that ships across a process boundary cannot carry the
-        # shared obs plane (registries, journals and recorders are
-        # process-local); its outcome counters are re-credited from node
-        # accounting at the ingest barrier instead (_credit_outcomes).
-        self._outcome_marks[node_id] = (0, 0, 0)
         return ClusterNode(
             node_id,
             config=self.config,
@@ -315,7 +280,7 @@ class ClusterCoordinator:
             telemetry_config=self.telemetry_config,
             telemetry_seed=self.telemetry_seed,
             flow_timeout_us=self.flow_timeout_us,
-            obs=None if self.executor.ships_state else self.obs,
+            obs=self.obs,
         )
 
     # ------------------------------------------------------------------ #
@@ -376,22 +341,18 @@ class ClusterCoordinator:
             bucket.append(descriptor)
         return groups
 
-    def _steer_works(self, descriptors, columnar: bool, size: int, trace: bool) -> List[NodeWork]:
+    def _steer_works(self, descriptors, columnar: bool, size: int) -> List[NodeWork]:
         """Partition one segment into per-node :class:`NodeWork` units.
 
         Object batches are routed per descriptor (:meth:`route`); blocks
         with one vectorised ring pass
         (:meth:`~repro.cluster.ring.HashRing.lookup_column`) and a
         per-owner row gather.  Either way the works come out in membership
-        order — the order the sequential loop visits nodes — which is what
-        makes the barrier's replication/checkpoint/span ordering (and so
-        every downstream stream) executor-independent.  A single-member
-        fleet skips hashing entirely: every key belongs to the one node.
+        order, which fixes the order of node spans and of the barrier's
+        replication and checkpoint effects.  A single-member fleet skips
+        hashing entirely: every key belongs to the one node.
         """
         collect = self.replication > 1
-        spans = self.obs.spans if self.obs is not None else None
-        span_clock = spans.clock if (trace and spans is not None) else None
-        trace = trace and not self.executor.ships_state
         works: List[NodeWork] = []
 
         def work_for(node_id: str, group, packets: int) -> NodeWork:
@@ -402,8 +363,6 @@ class ClusterCoordinator:
                 batch_size=size,
                 packets=packets,
                 collect_outcomes=collect,
-                trace=trace,
-                span_clock=span_clock,
             )
 
         count = len(descriptors)
@@ -456,13 +415,10 @@ class ClusterCoordinator:
         bulk-probes its slice.  Returns the per-node packet counts of this
         call.
 
-        The segment is a steer → fan-out → barrier pipeline: steering runs
-        on the caller thread, the per-node works run on :attr:`executor`
-        (concurrently, on the pooled executors), and every order-sensitive
-        effect — replication mirroring, checkpoint triggers, span grafting,
-        outcome-counter reconciliation, the windowed-clock ``advance`` —
-        happens after the barrier in membership order, so results and obs
-        streams are identical whichever executor ran the segment.
+        The segment is a steer → per-node work → barrier pipeline, all on
+        the caller thread: the works run in membership order, then the
+        barrier applies replication mirroring and checkpoint triggers in
+        the same order, and the windowed clock advances once.
         """
         size = self.batch_size if batch_size is None else batch_size
         if size <= 0:
@@ -471,7 +427,6 @@ class ClusterCoordinator:
         count = len(descriptors)
         spans = self.obs.spans if self.obs is not None else None
         per_node: Dict[str, int] = {}
-        t_start = time.perf_counter_ns()
         root_attrs = {"packets": count}
         if columnar:
             root_attrs["columnar"] = True
@@ -480,37 +435,14 @@ class ClusterCoordinator:
             if spans is not None
             else nullcontext()
         ):
-            # Inside the root: sampled away means current_id is None and
-            # the segment traces nothing, exactly like the old suppressed
-            # subtree (engines' recorders are parked for the duration).
-            parent_id = spans.current_id if spans is not None else None
             with spans.span("steer") if spans is not None else nullcontext():
-                works = self._steer_works(
-                    descriptors, columnar, size, trace=parent_id is not None
-                )
-            t_steered = time.perf_counter_ns()
-            results = self.executor.run(works)
-            # Barrier, pass 1 — adopt worker state.  A process executor
-            # returns round-tripped node copies; they must all be resident
-            # before any replication below mirrors outcomes onto backups.
-            max_busy_ns = 0
-            for result in results:
-                if result.node is not self.nodes[result.node_id]:
-                    self.nodes[result.node_id] = result.node
-                if result.recorder is not None and spans is not None:
-                    spans.graft(result.recorder, parent_id)
-                busy = self._node_busy_ns.get(result.node_id, 0)
-                self._node_busy_ns[result.node_id] = busy + result.busy_ns
-                if result.busy_ns > max_busy_ns:
-                    max_busy_ns = result.busy_ns
-            # Barrier, pass 2 — order-sensitive effects, membership order.
+                works = self._steer_works(descriptors, columnar, size)
+            results = self._executor.run(works)
             for work, result in zip(works, results):
                 node_id = result.node_id
                 if result.outcomes is not None:
                     for outcomes in result.outcomes:
                         self._replicate(node_id, outcomes)
-                if self.executor.ships_state and self.obs is not None:
-                    self._credit_outcomes(node_id)
                 if (
                     self.checkpoint_interval is not None
                     and self.nodes[node_id].completed
@@ -520,19 +452,6 @@ class ClusterCoordinator:
                     self.checkpoint_node(node_id)
                 per_node[node_id] = work.packets
                 self.routed[node_id] = self.routed.get(node_id, 0) + work.packets
-        t_end = time.perf_counter_ns()
-        self._segments += 1
-        self._steer_ns += t_steered - t_start
-        # The modeled fleet-parallel cost of the segment: the serial parts
-        # (steer, dispatch, barrier — wall minus the workers' busy time,
-        # clamped at 0 for hosts that genuinely overlapped the workers)
-        # plus the slowest worker.  On a single-core host the measured
-        # wall degenerates to the busy sum; this figure is what node-count
-        # scaling is judged against.
-        busy_ns = sum(result.busy_ns for result in results)
-        self._busy_ns += busy_ns
-        self._critical_ns += max((t_end - t_start) - busy_ns, 0) + max_busy_ns
-        self._wall_ns += t_end - t_start
         self.ingested += count
         if self.obs is not None:
             self._obs_ingested.inc(count)
@@ -547,67 +466,6 @@ class ClusterCoordinator:
                 )
                 self.obs.windows.advance(last_ts)
         return {"packets": count, "per_node": per_node}
-
-    def _credit_outcomes(self, node_id: str) -> None:
-        """Re-credit one node's outcome counters from its accounting.
-
-        Process-mode nodes run without the shared registry (it cannot cross
-        the pickle boundary), so the ``repro_engine_outcomes_total`` series
-        the windowed registry and watchdog rules read would stay flat.  The
-        barrier closes that gap from the node accounting that *does* round-
-        trip: hit/miss/new-flow deltas since the last credit, labelled like
-        the engine would have.  Stage timings, per-shard counters and span
-        traces remain thread/sequential-mode features.
-        """
-        node = self.nodes[node_id]
-        hits, misses, flows = node.hits, node.misses, node.new_flows
-        prev_hits, prev_misses, prev_flows = self._outcome_marks.get(node_id, (0, 0, 0))
-        if (hits, misses, flows) == (prev_hits, prev_misses, prev_flows):
-            return
-        counter = self.obs.metrics.counter(
-            "repro_engine_outcomes_total",
-            "Lookup outcomes by result (hit/miss/new_flow)",
-            labels=("node", "result"),
-        )
-        if hits != prev_hits:
-            counter.inc(hits - prev_hits, node=node_id, result="hit")
-        if misses != prev_misses:
-            counter.inc(misses - prev_misses, node=node_id, result="miss")
-        if flows != prev_flows:
-            counter.inc(flows - prev_flows, node=node_id, result="new_flow")
-        self._outcome_marks[node_id] = (hits, misses, flows)
-
-    def parallel_report(self) -> dict:
-        """Host-side ingestion cost accounting for the configured executor.
-
-        ``critical_path_ns`` models each segment as serial steering + the
-        slowest node's measured busy time + the serial barrier tail — the
-        wall-clock a fleet-parallel host achieves; ``wall_ns`` is the raw
-        measured wall (on a single-core host it degenerates to the busy
-        sum).  ``aggregate_mdesc_s`` is ingested descriptors over the
-        critical path — the figure ``BENCH_parallel.json`` tracks against
-        node count.
-        """
-        def mdesc_s(ns: int) -> float:
-            return self.ingested * 1e3 / ns if ns > 0 else 0.0
-
-        return {
-            "mode": self.executor.kind,
-            "workers": self.executor.workers,
-            "segments": self._segments,
-            "ingested": self.ingested,
-            "steer_ns": self._steer_ns,
-            "busy_ns": self._busy_ns,
-            "critical_path_ns": self._critical_ns,
-            "wall_ns": self._wall_ns,
-            "per_node_busy_ns": dict(sorted(self._node_busy_ns.items())),
-            "aggregate_mdesc_s": mdesc_s(self._critical_ns),
-            "wall_mdesc_s": mdesc_s(self._wall_ns),
-        }
-
-    def close(self) -> None:
-        """Release the executor's pool (safe to call repeatedly)."""
-        self.executor.close()
 
     def _replicate(
         self, primary_id: str, outcomes: Union[OutcomeBlock, Sequence[LookupOutcome]]
@@ -1479,12 +1337,10 @@ class ClusterCoordinator:
         The control loop's load signal: hit + miss deltas of
         ``repro_engine_outcomes_total`` from the windowed registry, summed
         per alive node over the most recent ``windows`` closed windows (a
-        node idle in that span reads 0.0).  That counter is credited by the
-        engines in sequential/thread mode and reconciled at the barrier in
-        process mode, so the signal exists under every executor.  Requires
-        the coordinator's obs plane to carry a windowed registry
-        (``window_ps=``); fewer closed windows than asked for means the sum
-        covers what exists.
+        node idle in that span reads 0.0); each node's engine credits that
+        counter per batch.  Requires the coordinator's obs plane to carry a
+        windowed registry (``window_ps=``); fewer closed windows than asked
+        for means the sum covers what exists.
         """
         obs = self._require_obs()
         if obs.windows is None:
@@ -1696,7 +1552,6 @@ class ClusterCoordinator:
             "cluster_totals": self.cluster_totals(),
             "active_flows": self.active_flows,
             "throughput_mdesc_s": self.throughput_mdesc_s,
-            "parallel": self.parallel_report(),
             "load_imbalance": self.load_imbalance,
             "pinned_flows": len(self._pins),
             "flows_migrated": self.flows_migrated,

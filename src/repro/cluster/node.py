@@ -126,13 +126,6 @@ class ClusterNode:
             raise RuntimeError(f"node {self.node_id!r} has failed; cannot ingest")
         return self.engine.process_batch(descriptors)
 
-    def set_span_recorder(self, spans) -> object:
-        """Swap the engine's span recorder (see
-        :meth:`ShardedFlowLUT.set_span_recorder
-        <repro.engine.sharded.ShardedFlowLUT.set_span_recorder>`); the
-        parallel executor uses this to give each worker a private recorder."""
-        return self.engine.set_span_recorder(spans)
-
     def preload(self, keys) -> int:
         return self.engine.preload(keys)
 

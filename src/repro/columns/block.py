@@ -283,8 +283,8 @@ class DescriptorBlock:
         """A new block holding the contiguous row range ``[start, stop)``.
 
         The cheap special case of :meth:`take` for the sub-batch loops that
-        walk a block front to back (per-node workers in
-        :mod:`repro.parallel` take every row exactly once, in order): plain
+        walk a block front to back (:func:`repro.parallel.execute_node_work`
+        takes every row exactly once, in order): plain
         slicing on every column — no index array, no gather — with numpy
         slices staying views of the parent columns.  ``stop`` is clamped to
         the block length like ordinary slicing.

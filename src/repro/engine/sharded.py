@@ -148,23 +148,6 @@ class ShardedFlowLUT:
             self._obs_prev_outcomes = (0, 0, 0)
             self._obs_clock = obs.clock
 
-    def set_span_recorder(self, spans) -> object:
-        """Swap the engine's span recorder; returns the previous one.
-
-        The parallel ingestion path (:mod:`repro.parallel`) parks the
-        plane's shared recorder while a worker runs this engine — the
-        shared recorder's counters are not thread-safe — and installs a
-        private per-worker recorder instead (``None`` disables emission for
-        the segment, like a suppressed subtree).  Without instrumentation
-        (``obs=None``) there is no emit path to feed, so the call is a
-        no-op returning ``None``.
-        """
-        if self.obs is None:
-            return None
-        previous = self._obs_spans
-        self._obs_spans = spans if spans else None
-        return previous
-
     # ------------------------------------------------------------------ #
     # Partitioning
     # ------------------------------------------------------------------ #

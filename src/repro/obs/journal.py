@@ -84,9 +84,7 @@ class EventJournal:
         # Sequence assignment reads len() and appends; two threads racing
         # through record() could mint duplicate seqs (a JournalError on
         # round-trip).  The journal is control-plane — membership events,
-        # checkpoints, alerts — so a lock here costs nothing measurable,
-        # unlike the span hot path (which gets per-worker recorders
-        # instead; see repro.parallel).
+        # checkpoints, alerts — so a lock here costs nothing measurable.
         self._record_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #

@@ -234,43 +234,6 @@ class SpanRecorder:
         )
         return span_id
 
-    # -- merging (parallel ingestion) ---------------------------------------
-
-    def graft(self, worker: "SpanRecorder", parent_id: Optional[int] = None) -> int:
-        """Adopt a private worker recorder's spans under ``parent_id``.
-
-        The parallel ingestion path (:mod:`repro.parallel`) gives each
-        worker its own recorder — the id counter and the 1-in-N sampling
-        counter here are deliberately lock-free, so concurrent engines must
-        not share them — and the coordinator grafts the workers back in
-        stable node order at the segment barrier.  Worker ids are rebased
-        onto this recorder's counter and worker *roots* are re-parented to
-        ``parent_id``, so grafting workers in the order the sequential path
-        would have visited them reproduces the sequential id assignment
-        exactly.  The workers' sampling counters are ignored: the sampling
-        decision for the whole segment was made by this recorder's root.
-        Returns the number of spans adopted.
-        """
-        base = self._ids
-        adopted = worker.spans
-        for span in adopted:
-            self.spans.append(
-                Span(
-                    span_id=span.span_id + base,
-                    parent_id=(
-                        span.parent_id + base
-                        if span.parent_id is not None
-                        else parent_id
-                    ),
-                    name=span.name,
-                    start_ns=span.start_ns,
-                    end_ns=span.end_ns,
-                    attrs=span.attrs,
-                )
-            )
-        self._ids += worker._ids
-        return len(adopted)
-
     # -- aggregation / JSONL -------------------------------------------------
 
     def by_name(self) -> Dict[str, Dict[str, float]]:

@@ -397,3 +397,15 @@ def test_columnar_obs_instrumentation_changes_nothing():
     )
     assert metered.elapsed_ps == plain.elapsed_ps
     assert metered.shard_completed == plain.shard_completed
+
+
+def test_slice_rows_matches_take_and_clamps():
+    block = scenario_block("zipf_mix", 100, seed=5)
+    window = block.slice_rows(10, 30)
+    assert len(window) == 20
+    assert window == block.take(list(range(10, 30)))
+    # The full range is the block itself (no copy), and bounds clamp.
+    assert block.slice_rows(0, 100) is block
+    assert block.slice_rows(0, 10_000) is block
+    assert len(block.slice_rows(90, 10_000)) == 10
+    assert len(block.slice_rows(100, 200)) == 0

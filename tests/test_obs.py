@@ -17,6 +17,7 @@ The battery locks down:
 """
 
 import json
+import threading
 
 import pytest
 
@@ -920,3 +921,32 @@ def test_bench_diff_cli(tmp_path, monkeypatch, capsys):
     assert _main(["diff", "--threshold", "0.95", "--fail-on-regression", str(path)]) == 0
     assert _main(["validate", str(path)]) == 0
     assert _main([]) == 2
+
+
+def test_journal_record_is_thread_safe_and_round_trips():
+    journal = EventJournal()
+    workers, per_worker = 8, 250
+    barrier = threading.Barrier(workers)
+
+    def hammer(worker):
+        barrier.wait()  # maximise interleaving
+        for index in range(per_worker):
+            journal.record("stress", node=f"w{worker}", index=index)
+
+    threads = [
+        threading.Thread(target=hammer, args=(worker,)) for worker in range(workers)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+
+    assert len(journal) == workers * per_worker
+    # Gapless monotone sequence — this is exactly what from_jsonl enforces,
+    # and what racing unsynchronised record() calls used to violate.
+    restored = EventJournal.from_jsonl(journal.to_jsonl())
+    assert [event.seq for event in restored] == list(range(workers * per_worker))
+    # No event was lost or duplicated per worker either.
+    for worker in range(workers):
+        mine = [e for e in restored if e.node == f"w{worker}"]
+        assert [e.fields["index"] for e in mine] == list(range(per_worker))

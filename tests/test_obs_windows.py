@@ -52,7 +52,7 @@ from repro.obs import (
 )
 from repro.obs.report import main as report_main, render_report
 from repro.reporting import merged_top_k
-from repro.traffic import scenario_descriptors
+from repro.traffic import scenario_block, scenario_descriptors
 
 PS = 1_000_000_000_000  # one simulated second
 
@@ -460,6 +460,99 @@ def test_cluster_span_hierarchy_is_complete():
         cursor = by_id[cursor.parent_id]
         chain.append(cursor.name)
     assert "node" in chain
+
+
+# Recorded from a fixed run: 4 nodes, hotspot_shift (600 rows, seed 5),
+# three 200-row ingest segments, one join after the first.  Ids are
+# assigned in open order and spans are stored in close order, so each
+# engine batch subtree precedes the "node" span that parents it.
+_PINNED_SPANS = {
+    "block": [
+        (1, 0, "steer"), (3, 2, "hash"), (4, 2, "steer"), (5, 2, "shard"),
+        (6, 5, "probe"), (7, 2, "pack"), (8, 2, "telemetry"), (2, 0, "node"),
+        (10, 9, "hash"), (11, 9, "steer"), (12, 9, "shard"), (13, 12, "probe"),
+        (14, 9, "pack"), (15, 9, "telemetry"), (9, 0, "node"), (17, 16, "hash"),
+        (18, 16, "steer"), (19, 16, "shard"), (20, 19, "probe"), (21, 16, "pack"),
+        (22, 16, "telemetry"), (16, 0, "node"), (24, 23, "hash"), (25, 23, "steer"),
+        (26, 23, "shard"), (27, 26, "probe"), (28, 23, "pack"), (29, 23, "telemetry"),
+        (23, 0, "node"), (0, None, "ingest_batch"), (31, 30, "steer"), (33, 32, "hash"),
+        (34, 32, "steer"), (35, 32, "shard"), (36, 35, "probe"), (37, 32, "pack"),
+        (38, 32, "telemetry"), (32, 30, "node"), (40, 39, "hash"), (41, 39, "steer"),
+        (42, 39, "shard"), (43, 42, "probe"), (44, 39, "pack"), (45, 39, "telemetry"),
+        (39, 30, "node"), (47, 46, "hash"), (48, 46, "steer"), (49, 46, "shard"),
+        (50, 49, "probe"), (51, 46, "pack"), (52, 46, "telemetry"), (46, 30, "node"),
+        (54, 53, "hash"), (55, 53, "steer"), (56, 53, "shard"), (57, 56, "probe"),
+        (58, 53, "pack"), (59, 53, "telemetry"), (53, 30, "node"), (61, 60, "hash"),
+        (62, 60, "steer"), (63, 60, "shard"), (64, 63, "probe"), (65, 60, "pack"),
+        (66, 60, "telemetry"), (60, 30, "node"), (30, None, "ingest_batch"),
+        (68, 67, "steer"), (70, 69, "hash"), (71, 69, "steer"), (72, 69, "shard"),
+        (73, 72, "probe"), (74, 69, "pack"), (75, 69, "telemetry"), (69, 67, "node"),
+        (77, 76, "hash"), (78, 76, "steer"), (79, 76, "shard"), (80, 79, "probe"),
+        (81, 76, "pack"), (82, 76, "telemetry"), (76, 67, "node"), (84, 83, "hash"),
+        (85, 83, "steer"), (86, 83, "shard"), (87, 86, "probe"), (88, 83, "pack"),
+        (89, 83, "telemetry"), (83, 67, "node"), (91, 90, "hash"), (92, 90, "steer"),
+        (93, 90, "shard"), (94, 93, "probe"), (95, 90, "pack"), (96, 90, "telemetry"),
+        (90, 67, "node"), (98, 97, "hash"), (99, 97, "steer"), (100, 97, "shard"),
+        (101, 100, "probe"), (102, 97, "pack"), (103, 97, "telemetry"),
+        (97, 67, "node"), (67, None, "ingest_batch"),
+    ],
+    "list": [
+        (1, 0, "steer"), (3, 2, "steer"), (4, 2, "shard"), (5, 4, "probe"),
+        (6, 4, "drain"), (7, 2, "telemetry"), (2, 0, "node"), (9, 8, "steer"),
+        (10, 8, "shard"), (11, 10, "probe"), (12, 10, "drain"), (13, 8, "telemetry"),
+        (8, 0, "node"), (15, 14, "steer"), (16, 14, "shard"), (17, 16, "probe"),
+        (18, 16, "drain"), (19, 14, "telemetry"), (14, 0, "node"), (21, 20, "steer"),
+        (22, 20, "shard"), (23, 22, "probe"), (24, 22, "drain"), (25, 20, "telemetry"),
+        (20, 0, "node"), (0, None, "ingest_batch"), (27, 26, "steer"),
+        (29, 28, "steer"), (30, 28, "shard"), (31, 30, "probe"), (32, 30, "drain"),
+        (33, 28, "telemetry"), (28, 26, "node"), (35, 34, "steer"), (36, 34, "shard"),
+        (37, 36, "probe"), (38, 36, "drain"), (39, 34, "telemetry"), (34, 26, "node"),
+        (41, 40, "steer"), (42, 40, "shard"), (43, 42, "probe"), (44, 42, "drain"),
+        (45, 40, "telemetry"), (40, 26, "node"), (47, 46, "steer"), (48, 46, "shard"),
+        (49, 48, "probe"), (50, 48, "drain"), (51, 46, "telemetry"), (46, 26, "node"),
+        (53, 52, "steer"), (54, 52, "shard"), (55, 54, "probe"), (56, 54, "drain"),
+        (57, 52, "telemetry"), (52, 26, "node"), (26, None, "ingest_batch"),
+        (59, 58, "steer"), (61, 60, "steer"), (62, 60, "shard"), (63, 62, "probe"),
+        (64, 62, "drain"), (65, 60, "telemetry"), (60, 58, "node"), (67, 66, "steer"),
+        (68, 66, "shard"), (69, 68, "probe"), (70, 68, "drain"), (71, 66, "telemetry"),
+        (66, 58, "node"), (73, 72, "steer"), (74, 72, "shard"), (75, 74, "probe"),
+        (76, 74, "drain"), (77, 72, "telemetry"), (72, 58, "node"), (79, 78, "steer"),
+        (80, 78, "shard"), (81, 80, "probe"), (82, 80, "drain"), (83, 78, "telemetry"),
+        (78, 58, "node"), (85, 84, "steer"), (86, 84, "shard"), (87, 86, "probe"),
+        (88, 86, "drain"), (89, 84, "telemetry"), (84, 58, "node"),
+        (58, None, "ingest_batch"),
+    ],
+}
+
+
+def _pinned_span_run(columnar, sample_every):
+    obs = Observability(span_sample_every=sample_every)
+    cluster = ClusterCoordinator(
+        nodes=4, config=small_test_config(), telemetry_seed=7, obs=obs
+    )
+    if columnar:
+        block = scenario_block("hotspot_shift", 600, seed=5)
+        segments = [block.slice_rows(offset, offset + 200) for offset in (0, 200, 400)]
+    else:
+        descriptors = scenario_descriptors("hotspot_shift", 600, seed=5)
+        segments = [descriptors[offset : offset + 200] for offset in (0, 200, 400)]
+    for index, segment in enumerate(segments):
+        cluster.ingest(segment)
+        if index == 0:
+            cluster.add_node("late-joiner")
+    return obs.spans.spans
+
+
+@pytest.mark.parametrize("ingest", ["block", "list"])
+def test_cluster_span_stream_is_pinned(ingest):
+    columnar = ingest == "block"
+    spans = _pinned_span_run(columnar, sample_every=1)
+    assert [
+        (span.span_id, span.parent_id, span.name) for span in spans
+    ] == _PINNED_SPANS[ingest]
+    # 1-in-2 sampling records segments 0 and 2 and nothing of segment 1.
+    sampled = _pinned_span_run(columnar, sample_every=2)
+    assert sum(span.parent_id is None for span in sampled) == 2
 
 
 # --------------------------------------------------------------------- #
